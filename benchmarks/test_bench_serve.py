@@ -1,10 +1,11 @@
-"""Benchmark: serving — direct forward, threaded engine, process cluster.
+"""Benchmark: serving — direct forward, in-process front door, cluster.
 
-Times 64 requests against the noisy eval-only AMS model five ways: one
+Times 64 requests against the noisy eval-only AMS model four ways: one
 synchronous whole-set forward (``classify_direct``, the floor), through
-the micro-batching engine at 1 and 4 executor threads, and through the
-multi-process :class:`~repro.serve.ServeCluster` at 1 and 4 replica
-processes.  The checked-in ``BENCH_serve.json`` medians carry the
+the front door over the in-process engine
+(``ClusterService(engine, max_batch=16, max_wait_s=0.002)``), and
+through the multi-process :class:`~repro.serve.ServeCluster` at 1 and 4
+replica processes.  The checked-in ``BENCH_serve.json`` medians carry the
 ``host`` block they were measured on; ``tools/bench_compare.py``
 downgrades regressions to warnings when the current machine's CPU
 count differs, so the numbers stay meaningful without hand-edited
@@ -26,7 +27,12 @@ import pytest
 
 from benchmarks.conftest import bench_config, run_rounds
 from repro.experiments.common import Workbench
-from repro.serve import InferenceEngine, ModelSpec, ServeCluster
+from repro.serve import (
+    ClusterService,
+    InferenceEngine,
+    ModelSpec,
+    ServeCluster,
+)
 
 SPEC = ModelSpec("ams_eval", enob=4.0)
 REQUESTS = 64
@@ -34,13 +40,10 @@ REQUESTS = 64
 CLUSTER_BATCH = 8
 
 
-def _warm(tmp_path, workers):
+def _warm(tmp_path):
     """An engine whose model is trained and cached before timing."""
     bench = Workbench(bench_config(tmp_path))
-    engine = InferenceEngine(
-        bench, max_batch=16, max_wait_ms=2.0, workers=workers
-    )
-    engine.warm(SPEC)
+    engine = InferenceEngine(bench).warm(SPEC)
     images = bench.data.val.images
     reps = -(-REQUESTS // len(images))
     return engine, np.concatenate([images] * reps)[:REQUESTS]
@@ -71,22 +74,15 @@ def _serve_all(cluster, images):
 
 @pytest.mark.benchmark(group="serve")
 def test_serve_direct(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=1)
+    engine, images = _warm(tmp_path)
     run_rounds(benchmark, lambda: engine.classify_direct(SPEC, images))
 
 
 @pytest.mark.benchmark(group="serve")
-def test_serve_batched_w1(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=1)
-    with engine:
-        run_rounds(benchmark, lambda: engine.classify(SPEC, images))
-
-
-@pytest.mark.benchmark(group="serve")
-def test_serve_batched_w4(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=4)
-    with engine:
-        run_rounds(benchmark, lambda: engine.classify(SPEC, images))
+def test_serve_inproc_frontdoor(benchmark, tmp_path):
+    engine, images = _warm(tmp_path)
+    with ClusterService(engine, max_batch=16, max_wait_s=0.002) as service:
+        run_rounds(benchmark, lambda: service.classify(SPEC, images))
 
 
 @pytest.mark.benchmark(group="serve-cluster")

@@ -552,9 +552,9 @@ class AMSErrorInjector(Module):
         With row generators attached, the forward pass draws each
         sample's noise from its own stream, so a sample's error depends
         only on its generator — never on which other requests were
-        coalesced into the same batch.  This is what lets the serving
-        engine's dynamic micro-batcher stay reproducible per request at
-        any concurrency (see :mod:`repro.serve.engine`).
+        coalesced into the same batch.  This is what keeps the serving
+        front door's dynamic micro-batching reproducible per request
+        (see :mod:`repro.serve.engine`).
         """
         self.row_rngs = list(rngs) if rngs is not None else None
 

@@ -5,15 +5,14 @@ The serving stack, bottom to top:
 - :class:`ModelSpec` — the frozen public identity of every model the
   workbench can build (``repro.registry`` resolves it through the
   tiered model registry, the single acquisition entry point);
-- :class:`InferenceEngine` — registry warm tier + dynamic
-  micro-batcher with per-request deterministic AMS noise streams;
-- :class:`InferenceService` — bounded thread-pool front end with
-  deadlines, backpressure and graceful degradation (single process);
-- :class:`ServeCluster` + :class:`FrontDoor` — the multi-process
-  deployment: N replica processes binding one mmap-published weight
-  store (:mod:`repro.serve.shared`), fronted by an asyncio admission/
-  batching layer with load shedding and rolling restarts;
-  :class:`ClusterService` is the blocking facade over both.
+- the two serving backends: :class:`InferenceEngine` (in-process:
+  registry warm tier + one executor thread with per-request
+  deterministic AMS noise streams) and :class:`ServeCluster` (N
+  replica processes binding one mmap-published weight store,
+  :mod:`repro.serve.shared`, with rolling restarts);
+- :class:`FrontDoor` — the one asyncio admission layer over either
+  backend: micro-batching, load shedding, graceful degradation and
+  deadlines; :class:`ClusterService` is its blocking facade.
 
 Per-request determinism holds across the whole stack: the same
 ``(spec, seed, request_id, image)`` yields bit-identical logits from
@@ -32,22 +31,19 @@ See ``docs/serving.md`` for the architecture and the knobs.
 from repro.serve.cluster import SHARD_POLICIES, ClusterService, ServeCluster
 from repro.serve.engine import InferenceEngine, Prediction
 from repro.serve.frontdoor import FrontDoor
-from repro.serve.service import InferenceService
 from repro.serve.shared import SharedWeights, bind_shared, publish_weights
 from repro.serve.spec import VARIANTS, ModelSpec
-from repro.serve.stats import ClusterStatsView, EngineStats, EngineStatsView
+from repro.serve.stats import ClusterStatsView, EngineStatsView
 
 __all__ = [
     "ModelSpec",
     "VARIANTS",
     "SHARD_POLICIES",
     "InferenceEngine",
-    "InferenceService",
     "ServeCluster",
     "ClusterService",
     "FrontDoor",
     "Prediction",
-    "EngineStats",
     "EngineStatsView",
     "ClusterStatsView",
     "SharedWeights",

@@ -1,9 +1,9 @@
 """Shared-nothing multi-process serving cluster.
 
-:class:`ServeCluster` grows the single-process micro-batcher into a
-cluster of N replica **processes**, each running the same compiled
-engine code path (:func:`repro.serve.executor.forward_with_request_noise`)
-the in-process :class:`~repro.serve.engine.InferenceEngine` uses —
+:class:`ServeCluster` grows the in-process engine into a cluster of N
+replica **processes**, each running the same compiled engine code path
+(:func:`repro.serve.executor.forward_with_request_noise`) the
+in-process :class:`~repro.serve.engine.InferenceEngine` uses —
 which is what makes per-request determinism structural: the same
 ``(spec, seed, request_id, image)`` produces bit-identical logits at
 any replica count, for every registered error model.
@@ -42,8 +42,9 @@ Key mechanics:
 
 :class:`ClusterService` is the synchronous facade: it runs the asyncio
 front door (:mod:`repro.serve.frontdoor`) on a dedicated event-loop
-thread and exposes the same blocking ``submit``/``classify`` shape the
-thread-pool :class:`~repro.serve.service.InferenceService` has.
+thread and exposes blocking ``submit``/``classify`` calls over either
+serving backend — a :class:`ServeCluster` or the in-process
+:class:`~repro.serve.engine.InferenceEngine`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ import numpy as np
 from repro.errors import (
     ConfigError,
     ReplicaError,
+    ServiceOverloadError,
     ServiceTimeoutError,
     WorkerLostError,
 )
@@ -118,9 +120,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     compile_models = init["compile_models"]
     backend = init["backend"]
     registry = MetricRegistry()
-    batch_ms = registry.histogram(
-        "serve.worker_batch_ms", buckets=LATENCY_MS_BUCKETS
-    )
     models: Dict[str, object] = {}
 
     def _warm(published: Dict[str, dict]) -> dict:
@@ -168,7 +167,11 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             compile_models=compile_models,
             backend=backend,
         )
-        batch_ms.observe(1e3 * (perf_counter() - start))
+        # Looked up per batch: a stats flush drains the registry, so a
+        # handle cached before the flush would record into nothing.
+        registry.histogram(
+            "serve.worker_batch_ms", buckets=LATENCY_MS_BUCKETS
+        ).observe(1e3 * (perf_counter() - start))
         registry.counter("serve.worker_batches").inc()
         registry.counter("serve.worker_requests").inc(len(request_ids))
         return logits
@@ -786,16 +789,18 @@ class ServeCluster:
 # synchronous facade over the async front door
 # ----------------------------------------------------------------------
 class ClusterService:
-    """Blocking client for a cluster: the front door on a loop thread.
+    """Blocking client for either serving backend: a threaded front door.
 
-    Mirrors :class:`~repro.serve.service.InferenceService`'s shape for
+    Runs :class:`repro.serve.frontdoor.FrontDoor` on its own event-loop
+    thread.  ``cluster`` is a started :class:`ServeCluster` or an
+    in-process :class:`~repro.serve.engine.InferenceEngine`.  For
     callers that are not async themselves (the CLI, tests, notebooks):
     ``submit`` returns a :class:`concurrent.futures.Future`,
-    ``classify`` blocks.  All admission control, batching, shedding and
-    deadline logic lives in :class:`repro.serve.frontdoor.FrontDoor`.
+    ``classify`` blocks.  All admission control, batching, shedding,
+    degradation and deadline logic lives in the front door.
     """
 
-    def __init__(self, cluster: ServeCluster, **frontdoor_kwargs):
+    def __init__(self, cluster, **frontdoor_kwargs):
         from repro.serve.frontdoor import FrontDoor
 
         self.cluster = cluster
@@ -814,6 +819,8 @@ class ClusterService:
     def submit(self, spec: ModelSpec, image, request_id: int) -> Future:
         """Admit one request; resolves to a Prediction (or raises the
         front door's overload/timeout errors)."""
+        if self._loop.is_closed():
+            raise ServiceOverloadError("service is closed")
 
         async def _submit():
             future = await self._door.submit(spec, image, request_id)

@@ -1,7 +1,12 @@
-"""Batched inference engine over the workbench's trained models.
+"""In-process serving backend over the workbench's trained models.
 
-The engine answers classify requests at high throughput by doing three
-things the offline experiment harness never needed:
+The engine is the single-process counterpart of
+:class:`~repro.serve.cluster.ServeCluster`: it exposes the same small
+duck-typed backend surface (``resolve`` / ``submit_batch`` /
+``replica_count`` / ``stats``), so one admission layer —
+:class:`~repro.serve.frontdoor.FrontDoor`, or its blocking facade
+:class:`~repro.serve.cluster.ClusterService` — batches, sheds,
+degrades and enforces deadlines for both.  The engine itself brings:
 
 - a **warm model pool**: the engine's models live in a
   :class:`repro.registry.ModelRegistry` warm tier (LRU, capacity
@@ -9,15 +14,17 @@ things the offline experiment harness never needed:
   cold specs are demoted; a miss promotes from the on-disk cold tier
   (or trains, on a true miss) through the same registry path every
   other consumer uses;
-- a **dynamic micro-batcher**: worker threads coalesce queued requests
-  for the same spec up to ``max_batch`` or ``max_wait_ms``, then run
-  one forward pass per batch;
+- **one executor thread**: :meth:`InferenceEngine.submit_batch` runs
+  each ready-made batch on a single thread the engine owns, so the
+  front door's event loop never waits on a forward pass;
 - **per-request deterministic noise**: before each batch forward, every
   AMS injector gets one generator per batch *row*, derived from
   ``point_seed_sequence(seed, request_id)`` — a request's injected
   error depends only on ``(spec, seed, request_id)``, never on which
-  other requests happened to share its batch.  Identical requests are
-  therefore reproducible at any concurrency and any batch composition.
+  other requests happened to share its batch.  Logits are therefore
+  bit-identical for a fixed batch composition; across compositions
+  BLAS may sum in another order, and a quantizer can turn that last-bit
+  difference into a whole level.
 
 Each executed batch runs under an ``obs.span("serve.batch")`` trace
 span, which forwards into the op profiler, so ``--profile-ops``
@@ -25,17 +32,19 @@ decomposes serving time with the same tooling the training paths use.
 Request-level telemetry lives in :meth:`InferenceEngine.stats` — an
 :class:`~repro.serve.stats.EngineStatsView` over the engine's own
 :class:`~repro.obs.MetricRegistry` (``serve.*`` metrics: executed /
-degraded request counters, exact batch-size histogram, queue-depth
-gauge, compiled-vs-interpreted batch counters).
+degraded request counters, exact batch-size histogram,
+compiled-vs-interpreted batch counters).  Batches dispatched through
+the front door are recorded there by the front door; the engine
+records only its synchronous :meth:`~InferenceEngine.classify_direct`
+calls.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,17 +68,8 @@ class Prediction:
     degraded: bool = False
 
 
-@dataclass
-class _Request:
-    spec: ModelSpec
-    image: np.ndarray
-    request_id: int
-    future: Future
-    enqueued_s: float
-
-
 class InferenceEngine:
-    """Micro-batching inference front end over a workbench.
+    """In-process serving backend: warm models plus one executor thread.
 
     Parameters
     ----------
@@ -83,13 +83,6 @@ class InferenceEngine:
     max_models:
         Warm-tier LRU capacity of the engine's model registry
         (ignored when an explicit ``registry`` is supplied).
-    max_batch, max_wait_ms:
-        Micro-batcher knobs: a batch closes when it reaches
-        ``max_batch`` requests or the oldest request has waited
-        ``max_wait_ms``, whichever comes first.
-    workers:
-        Batch-executor threads.  More workers overlap queue handling
-        with compute; determinism per request is unaffected.
     compile_models:
         Lower cached models to the fused tape-free executor
         (:mod:`repro.compile`) when they load, and serve batches
@@ -115,27 +108,15 @@ class InferenceEngine:
         *,
         seed: Optional[int] = None,
         max_models: int = 4,
-        max_batch: int = 32,
-        max_wait_ms: float = 2.0,
-        workers: int = 1,
         compile_models: bool = True,
         backend: Optional[str] = None,
         registry=None,
     ):
         if max_models < 1:
             raise ConfigError(f"max_models must be >= 1, got {max_models}")
-        if max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ConfigError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workbench = workbench
         self.seed = workbench.config.seed if seed is None else seed
         self.max_models = max_models
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.workers = workers
         self.compile_models = compile_models
         if backend is not None:
             from repro.compile import available_backends
@@ -146,7 +127,6 @@ class InferenceEngine:
                     f"(known: {', '.join(available_backends())})"
                 )
         self.backend = backend
-        self._queue: "queue.Queue[_Request]" = queue.Queue()
         self._stats = EngineStatsView()
         if registry is None:
             from repro.registry import ModelRegistry
@@ -159,84 +139,46 @@ class InferenceEngine:
                 backend=backend,
             )
         self.registry = registry
-        self._queue_depth = self._stats.registry.gauge("serve.queue_depth")
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "InferenceEngine":
-        """Spawn the batch-executor threads (idempotent)."""
-        if self._threads:
-            return self
-        self._stop.clear()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker, name=f"serve-batch-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def stop(self) -> None:
-        """Stop the executor threads; queued requests stay pending."""
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
-
-    def __enter__(self) -> "InferenceEngine":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # request API
-    # ------------------------------------------------------------------
-    def submit(self, spec: ModelSpec, image, request_id: int) -> Future:
-        """Queue one classify request; resolves to a :class:`Prediction`.
-
-        ``request_id`` is the caller's replay key: resubmitting the
-        same ``(spec, image, request_id)`` reproduces the prediction
-        bit-for-bit regardless of batching or concurrency.
-        """
-        spec = spec.resolved(self.workbench.config)
-        future: Future = Future()
-        self._queue.put(
-            _Request(
-                spec=spec,
-                image=np.asarray(image, dtype=np.float32),
-                request_id=int(request_id),
-                future=future,
-                enqueued_s=perf_counter(),
-            )
+        # The thread starts on the first submit_batch; stop() (or
+        # garbage collection of the engine) ends it.
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-batch"
         )
-        self._queue_depth.inc()
-        return future
 
-    def classify(
+    # ------------------------------------------------------------------
+    # backend surface consumed by repro.serve.frontdoor.FrontDoor
+    # ------------------------------------------------------------------
+    def resolve(self, spec: ModelSpec) -> ModelSpec:
+        return spec.resolved(self.workbench.config)
+
+    def submit_batch(
         self,
         spec: ModelSpec,
-        images: Sequence,
-        request_ids: Optional[Sequence[int]] = None,
-        timeout: Optional[float] = 60.0,
-    ) -> List[Prediction]:
-        """Submit a request set and wait for every prediction."""
-        if not self._threads:
-            raise ConfigError(
-                "engine is not started; call start() (or use "
-                "classify_direct for the synchronous path)"
-            )
-        if request_ids is None:
-            request_ids = range(len(images))
-        futures = [
-            self.submit(spec, image, rid)
-            for image, rid in zip(images, request_ids)
-        ]
-        return [future.result(timeout=timeout) for future in futures]
+        images: np.ndarray,
+        request_ids: Sequence[int],
+    ) -> "Future[np.ndarray]":
+        """Run one ready-made batch on the executor thread.
 
+        Resolves to the logits array.  The batch is not recorded into
+        :meth:`stats`; the front door that dispatched it does that.
+        """
+        return self._executor.submit(
+            self._run_batch,
+            self.resolve(spec),
+            np.asarray(images, dtype=np.float32),
+            [int(rid) for rid in request_ids],
+        )
+
+    def replica_count(self) -> int:
+        return 1
+
+    def stop(self) -> None:
+        """End the executor thread once its submitted batches finish."""
+        self._executor.shutdown(wait=True)
+
+    # ------------------------------------------------------------------
+    # synchronous API
+    # ------------------------------------------------------------------
     def classify_direct(
         self,
         spec: ModelSpec,
@@ -246,29 +188,39 @@ class InferenceEngine:
     ) -> List[Prediction]:
         """One synchronous forward pass in the calling thread.
 
-        Bypasses the queue and the batcher (used by the service's
-        degradation path and by benchmarks); noise streams are keyed
+        Bypasses the front door (used by benchmarks and as the solo
+        reference in determinism tests); noise streams are keyed
         identically to the batched path, so the predictions match.
         """
-        spec = spec.resolved(self.workbench.config)
+        spec = self.resolve(spec)
         if request_ids is None:
             request_ids = range(len(images))
-        batch = [
-            _Request(
+        ids = [int(rid) for rid in request_ids]
+        started = perf_counter()
+        batch = np.stack(
+            [np.asarray(image, dtype=np.float32) for image in images]
+        )
+        logits = self._run_batch(spec, batch, ids)
+        latencies = [perf_counter() - started] * len(ids)
+        labels = logits.argmax(axis=1)
+        self._stats.record_batch(spec.token(), latencies, degraded=degraded)
+        return [
+            Prediction(
+                request_id=rid,
                 spec=spec,
-                image=np.asarray(image, dtype=np.float32),
-                request_id=int(rid),
-                future=Future(),
-                enqueued_s=perf_counter(),
+                label=int(labels[row]),
+                logits=logits[row].copy(),
+                batch_size=len(ids),
+                latency_s=latencies[row],
+                degraded=degraded,
             )
-            for image, rid in zip(images, request_ids)
+            for row, rid in enumerate(ids)
         ]
-        return self._execute(batch, degraded=degraded)
 
     def warm(self, *specs: ModelSpec) -> "InferenceEngine":
         """Promote ``specs`` into the registry's warm tier now."""
         for spec in specs:
-            self._model_entry(spec.resolved(self.workbench.config))
+            self._model_entry(self.resolve(spec))
         return self
 
     def stats(self) -> EngineStatsView:
@@ -289,86 +241,20 @@ class InferenceEngine:
         entry = self.registry.entry(spec)
         return entry.model, entry.lock
 
-    def _worker(self) -> None:
-        while not self._stop.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            self._queue_depth.dec()
-            batch = [first]
-            deadline = monotonic() + self.max_wait_ms / 1e3
-            requeue = None
-            while len(batch) < self.max_batch:
-                remaining = deadline - monotonic()
-                try:
-                    if remaining <= 0:
-                        nxt = self._queue.get_nowait()
-                    else:
-                        nxt = self._queue.get(timeout=min(remaining, 0.05))
-                except queue.Empty:
-                    if remaining <= 0:
-                        break
-                    continue
-                self._queue_depth.dec()
-                if nxt.spec == batch[0].spec:
-                    batch.append(nxt)
-                else:
-                    # Different spec: close this batch, hand the
-                    # stranger back for another worker (or this one's
-                    # next iteration) to coalesce with its own kind.
-                    requeue = nxt
-                    break
-            if requeue is not None:
-                self._queue.put(requeue)
-                self._queue_depth.inc()
-            try:
-                predictions = self._execute(batch)
-            except BaseException as exc:  # noqa: BLE001 - fail the requests
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                continue
-            for request, prediction in zip(batch, predictions):
-                request.future.set_result(prediction)
-
-    def _execute(
-        self, batch: List[_Request], degraded: bool = False
-    ) -> List[Prediction]:
-        spec = batch[0].spec
-        model, lock = self._model_entry(spec)
-        images = np.stack([request.image for request in batch])
-        ids = [request.request_id for request in batch]
-        with lock:
-            logits = self._forward(model, images, ids)
-        now = perf_counter()
-        latencies = [now - request.enqueued_s for request in batch]
-        labels = logits.argmax(axis=1)
-        self._stats.record_batch(spec.token(), latencies, degraded=degraded)
-        return [
-            Prediction(
-                request_id=request.request_id,
-                spec=spec,
-                label=int(labels[row]),
-                logits=logits[row].copy(),
-                batch_size=len(batch),
-                latency_s=latencies[row],
-                degraded=degraded,
-            )
-            for row, request in enumerate(batch)
-        ]
-
-    def _forward(
-        self, model, images: np.ndarray, request_ids: List[int]
+    def _run_batch(
+        self, spec: ModelSpec, images: np.ndarray, request_ids: List[int]
     ) -> np.ndarray:
-        # The per-request noise-row contract lives in the shared
-        # executor so the cluster workers run the identical code path.
-        return forward_with_request_noise(
-            model,
-            images,
-            request_ids,
-            self.seed,
-            registry=self._stats.registry,
-            compile_models=self.compile_models,
-            backend=self.backend,
-        )
+        model, lock = self._model_entry(spec)
+        with lock:
+            # The per-request noise-row contract lives in the shared
+            # executor so the cluster workers run the identical code
+            # path.
+            return forward_with_request_noise(
+                model,
+                images,
+                request_ids,
+                self.seed,
+                registry=self._stats.registry,
+                compile_models=self.compile_models,
+                backend=self.backend,
+            )

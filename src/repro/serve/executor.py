@@ -1,15 +1,15 @@
 """The one forward-pass primitive every serving tier shares.
 
 :func:`forward_with_request_noise` is the engine's batch execution,
-extracted so the in-process thread engine
+extracted so the in-process engine
 (:class:`~repro.serve.engine.InferenceEngine`) and the cluster worker
 processes (:mod:`repro.serve.cluster`) run *the same code*: per-request
 deterministic AMS noise rows, compiled-executor dispatch with counted
 interpreter fallback, and the ``serve.batch`` trace span.  Sharing the
 function is what makes the cluster's determinism contract structural —
 the same ``(spec, seed, request_id, image)`` produces bit-identical
-logits at 1 thread, N threads, or N worker processes, for every
-registered error model.
+logits in-process or in N worker processes, at any batch composition,
+for every registered error model.
 """
 
 from __future__ import annotations

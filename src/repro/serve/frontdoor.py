@@ -1,12 +1,15 @@
-"""Asyncio front door for the serving cluster: admit, batch, route.
+"""Asyncio front door for serving: admit, batch, route.
 
 One :class:`FrontDoor` instance owns all admission and batching policy
-for a :class:`~repro.serve.cluster.ServeCluster`.  Per model spec it
-keeps a bounded :class:`asyncio.Queue` and one batcher coroutine that
-coalesces requests (up to ``max_batch``, waiting at most
-``max_wait_s`` for stragglers) and dispatches whole batches to the
-cluster's least-loaded eligible replica.  Operational behaviour
-mirrors the thread-pool :class:`~repro.serve.service.InferenceService`:
+for a serving backend: the multi-process
+:class:`~repro.serve.cluster.ServeCluster` or the in-process
+:class:`~repro.serve.engine.InferenceEngine`.  It is the only
+admission layer in the package.  Per model spec it keeps a bounded
+:class:`asyncio.Queue` and one batcher coroutine that coalesces
+requests (up to ``max_batch``, waiting at most ``max_wait_s`` for
+stragglers) and dispatches whole batches to the backend (a cluster
+routes each to its least-loaded eligible replica).  Operational
+behaviour:
 
 - **load shedding** — a full queue fails ``submit`` fast with
   :class:`~repro.errors.ServiceOverloadError`
@@ -17,12 +20,12 @@ mirrors the thread-pool :class:`~repro.serve.service.InferenceService`:
   :class:`~repro.errors.ServiceTimeoutError`
   (``serve.deadline_missed``) instead of wasting replica time;
 - **backpressure** — a per-spec semaphore bounds batches in flight to
-  2x the eligible replica count, so a slow replica backs traffic up
-  into the bounded queue (where shedding happens) rather than growing
-  an unbounded dispatch backlog;
-- **warm-on-miss** — a request for a spec the cluster has not
-  published yet never blocks the door behind a train-or-load: it
-  triggers the cluster's background ``warm_async`` (journaled
+  2x the eligible replica count (an engine counts as one replica), so
+  a slow replica backs traffic up into the bounded queue (where
+  shedding happens) rather than growing an unbounded dispatch backlog;
+- **warm-on-miss** (cluster only) — a request for a spec the cluster
+  has not published yet never blocks the door behind a train-or-load:
+  it triggers the cluster's background ``warm_async`` (journaled
   ``registry.warmup``, deduplicated per spec) and is immediately
   degraded to ``fallback_spec`` when that is already warm, or shed
   with a retry hint (``registry.warmup_triggered``).  A retry after
@@ -62,15 +65,18 @@ class _Pending:
 
 
 class FrontDoor:
-    """Admission control and micro-batching over a serving cluster.
+    """Admission control and micro-batching over a serving backend.
 
     Parameters
     ----------
     cluster:
-        A started :class:`~repro.serve.cluster.ServeCluster` (anything
-        with ``resolve`` / ``submit_batch`` / ``replica_count`` /
+        A started :class:`~repro.serve.cluster.ServeCluster` or an
+        :class:`~repro.serve.engine.InferenceEngine` (anything with
+        ``resolve`` / ``submit_batch`` / ``replica_count`` /
         ``stats``).  The front door owns routing policy only; the
-        cluster owns replicas and weights.
+        backend owns models and weights.  A backend without
+        ``is_warm`` (the engine) loads a cold spec on its first
+        batch instead of taking the warm-on-miss path.
     queue_size:
         Admission bound per spec; a full queue sheds (or degrades).
     max_batch:

@@ -16,13 +16,8 @@ names documented in ``docs/observability.md``:
 The view itself keeps only a bounded reservoir of raw latency samples
 per spec, because exact p50/p95 cannot be recovered from fixed
 buckets; everything else in :meth:`snapshot` is read back from the
-registry.  ``snapshot()`` / ``report()`` output is shape-compatible
-with the pre-redesign ``EngineStats``.
-
-Constructing :class:`EngineStats` directly is deprecated (one warning
-per process); engines build an :class:`EngineStatsView`, and the op
-profiler (:mod:`repro.utils.profiler`) remains the tool for *where
-the time goes* inside a forward pass.
+registry.  The op profiler (:mod:`repro.utils.profiler`) remains the
+tool for *where the time goes* inside a forward pass.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ import threading
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.deprecation import warn_once
 from repro.obs.metrics import MetricRegistry
 
 #: Latency samples kept per spec; older samples are dropped FIFO so a
@@ -135,8 +129,7 @@ class EngineStatsView:
     def snapshot(self) -> dict:
         """A JSON-able summary of everything recorded so far.
 
-        Same shape as the pre-``repro.obs`` ``EngineStats.snapshot``:
-        counts come from the registry, percentiles from the reservoir.
+        Counts come from the registry, percentiles from the reservoir.
         """
         registry = self.registry
         elapsed = perf_counter() - self._started
@@ -206,7 +199,7 @@ class ClusterStatsView(EngineStatsView):
     :meth:`record_batch`; the cluster adds one row per replica —
     batches dispatched, requests served, in-flight depth, exact
     p50/p99 from a per-replica latency reservoir — and merges worker
-    registry flushes (queue depth, compiled/interpreted counters)
+    registry flushes (batch times, compiled/interpreted counters)
     under a ``replica`` label via
     :meth:`~repro.obs.MetricRegistry.merge_snapshot`, which pairs with
     the lock-holding registry snapshot so readers never observe a torn
@@ -298,21 +291,3 @@ class ClusterStatsView(EngineStatsView):
             rows,
             title="cluster replicas",
         )
-
-
-class EngineStats(EngineStatsView):
-    """Deprecated: construct :class:`EngineStatsView` instead.
-
-    Kept so pre-``repro.obs`` call sites keep working; the first
-    direct construction per process emits a DeprecationWarning.  The
-    engine itself builds an :class:`EngineStatsView`.
-    """
-
-    def __init__(self, registry: Optional[MetricRegistry] = None):
-        warn_once(
-            "serve.EngineStats",
-            "constructing EngineStats directly is deprecated; use "
-            "EngineStatsView (a view over a repro.obs.MetricRegistry) "
-            "— snapshot()/report() are shape-identical",
-        )
-        super().__init__(registry)

@@ -27,6 +27,7 @@ from repro.compile.kernels import FusedConvStep
 from repro.errors import CompileError, ConfigError
 from repro.obs.metrics import default_registry
 from repro.serve import InferenceEngine, ModelSpec
+from tests.serve.conftest import direct_in_batches, serve_in_process
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.evaluate import evaluate_accuracy, reseed_noise
 
@@ -236,28 +237,27 @@ class TestBackendKeyedCache:
 class TestServeFastBackend:
     SPEC = ModelSpec("ams_eval", enob=4.0)
 
-    def _logits(self, compile_bench, images, workers, backend):
-        engine = InferenceEngine(
-            compile_bench,
-            max_batch=4,
-            max_wait_ms=1.0,
-            workers=workers,
-            backend=backend,
-        )
-        engine.warm(self.SPEC)
-        with engine:
-            predictions = engine.classify(self.SPEC, images)
-        return np.stack([p.logits for p in predictions])
-
-    def test_fast_engine_deterministic_across_workers(self, compile_bench):
+    def test_fast_engine_deterministic_through_the_front_door(
+        self, compile_bench
+    ):
         images = compile_bench.data.val.images[:12]
-        one = self._logits(compile_bench, images, workers=1, backend="fast")
-        four = self._logits(compile_bench, images, workers=4, backend="fast")
-        assert np.array_equal(one, four)
-        reference = self._logits(
-            compile_bench, images, workers=1, backend="reference"
+        fast = InferenceEngine(compile_bench, backend="fast").warm(self.SPEC)
+        served, sizes = serve_in_process(fast, self.SPEC, images)
+        assert max(sizes) <= 4
+        logits = np.stack([p.logits for p in served])
+        assert np.array_equal(
+            logits, direct_in_batches(fast, self.SPEC, images, sizes)
         )
-        assert float(np.abs(one - reference).max()) <= PARITY_ATOL
+        reference = InferenceEngine(
+            compile_bench, backend="reference"
+        ).warm(self.SPEC)
+        solo = np.stack(
+            [
+                reference.classify_direct(self.SPEC, [image], [rid])[0].logits
+                for rid, image in enumerate(images)
+            ]
+        )
+        assert float(np.abs(logits - solo).max()) <= PARITY_ATOL
 
 
 class TestInterpreterFallbackInstrumentation:

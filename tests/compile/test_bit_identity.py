@@ -13,6 +13,7 @@ import pytest
 
 from repro.compile import compile_model, maybe_compiled
 from repro.serve import InferenceEngine, ModelSpec
+from tests.serve.conftest import direct_in_batches, serve_in_process
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.evaluate import predict_logits, reseed_noise
 from repro.train.hooks import collect_probes, set_probes_enabled
@@ -81,34 +82,28 @@ class TestBitIdentity:
 
 
 class TestServeDeterminism:
-    """Per-request AMS noise is reproducible at any worker count,
-    compiled or not (ISSUE acceptance: 1 vs 4 workers)."""
+    """Per-request AMS noise served through the front door is
+    reproducible bit-for-bit, compiled or not."""
 
     SPEC = ModelSpec("ams_eval", enob=4.0)
 
-    def _logits(self, compile_bench, images, workers, compile_models):
-        engine = InferenceEngine(
-            compile_bench,
-            max_batch=4,
-            max_wait_ms=1.0,
-            workers=workers,
-            compile_models=compile_models,
-        )
-        engine.warm(self.SPEC)
-        with engine:
-            predictions = engine.classify(self.SPEC, images)
-        return np.stack([p.logits for p in predictions])
-
-    def test_workers_and_compilation_invariant(self, compile_bench):
+    def test_front_door_and_compilation_invariant(self, compile_bench):
         images = compile_bench.data.val.images[:12]
-        reference = self._logits(
-            compile_bench, images, workers=1, compile_models=True
+        compiled = InferenceEngine(compile_bench).warm(self.SPEC)
+        interpreted = InferenceEngine(
+            compile_bench, compile_models=False
+        ).warm(self.SPEC)
+        served, sizes = serve_in_process(compiled, self.SPEC, images)
+        assert max(sizes) <= 4
+        logits = np.stack([p.logits for p in served])
+        assert np.array_equal(
+            logits, direct_in_batches(compiled, self.SPEC, images, sizes)
         )
-        four = self._logits(
-            compile_bench, images, workers=4, compile_models=True
+        assert np.array_equal(
+            logits, direct_in_batches(interpreted, self.SPEC, images, sizes)
         )
-        interpreted = self._logits(
-            compile_bench, images, workers=1, compile_models=False
-        )
-        assert np.array_equal(reference, four)
-        assert np.array_equal(reference, interpreted)
+        solo = [
+            compiled.classify_direct(self.SPEC, [image], [rid])[0].label
+            for rid, image in enumerate(images)
+        ]
+        assert [p.label for p in served] == solo

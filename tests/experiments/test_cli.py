@@ -293,6 +293,50 @@ class TestServe:
         assert "cluster stats" in out or "serving stats" in out
 
 
+class TestServeQueueSize:
+    @pytest.mark.parametrize(
+        "backend_args", [[], ["--workers", "1"]], ids=["inproc", "workers1"]
+    )
+    def test_more_requests_than_queue_slots_are_all_served(
+        self, backend_args, tmp_path, capsys, monkeypatch
+    ):
+        """40 requests through a 4-slot admission queue: the client
+        paces itself on the oldest outstanding request instead of
+        tripping the front door's load shedding, on either backend."""
+        from repro.experiments import cli as cli_mod
+        from repro.experiments.config import make_config
+
+        micro = make_config(
+            profile="quick",
+            seed=7,
+            num_classes=4,
+            image_size=8,
+            train_per_class=24,
+            val_per_class=10,
+            pretrain_epochs=2,
+            retrain_epochs=1,
+            batch_size=32,
+            patience=1,
+            eval_passes=1,
+            cache_dir=str(tmp_path / "cache"),
+            results_dir=str(tmp_path / "results"),
+        )
+        monkeypatch.setattr(cli_mod, "make_config", lambda **kw: micro)
+        argv = [
+            "serve",
+            "--spec",
+            "fp32",
+            "--requests",
+            "40",
+            "--queue-size",
+            "4",
+            "--profile",
+            "quick",
+        ]
+        assert main(argv + backend_args) == 0
+        assert "served 40 requests" in capsys.readouterr().out
+
+
 class TestServeClusterFlags:
     """Cluster flags fail fast — before any training or journaling."""
 

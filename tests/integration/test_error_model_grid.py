@@ -2,10 +2,10 @@
 
 For each model in the registry: interpreter vs compiled-reference
 bit-identity, fast-backend parity (or exact equality via its per-op
-decline of data-dependent models), serve-engine per-request determinism
-at 1 vs 4 workers, checkpoint capture/restore of every declared RNG
-stream, and trainer kill/resume bit-identity for the model with extra
-streams.
+decline of data-dependent models), per-request determinism served
+through the in-process front door, checkpoint capture/restore of every
+declared RNG stream, and trainer kill/resume bit-identity for the model
+with extra streams.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.serve import InferenceEngine, ModelSpec
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train import TrainConfig, Trainer
 from repro.train.evaluate import ams_injectors, reseed_noise
+from tests.serve.conftest import direct_in_batches, serve_in_process
 
 #: (model name, params) — every registered model with micro-scale
 #: parameters where the defaults would degenerate (tile_size=2 so the
@@ -158,37 +159,31 @@ class TestCompiledPaths:
 
 class TestServeDeterminism:
     @pytest.mark.parametrize("name,params", GRID, ids=GRID_IDS)
-    def test_worker_count_invariance_and_replay(
+    def test_front_door_invariance_and_replay(
         self, grid_bench, name, params
     ):
         spec = _spec(name, params)
         images = grid_bench.data.val.images[:12]
-        runs = []
-        for workers in (1, 4):
-            engine = InferenceEngine(
-                grid_bench, max_batch=4, max_wait_ms=5.0, workers=workers
-            )
-            engine.warm(spec)
-            with engine:
-                runs.append(
-                    sorted(
-                        engine.classify(spec, images),
-                        key=lambda p: p.request_id,
-                    )
-                )
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.logits, b.logits)
-            assert a.label == b.label
+        engine = InferenceEngine(grid_bench).warm(spec)
+        served, sizes = serve_in_process(engine, spec, images)
+        assert max(sizes) <= 4
+        np.testing.assert_array_equal(
+            np.stack([p.logits for p in served]),
+            direct_in_batches(engine, spec, images, sizes),
+        )
+        solo = [
+            engine.classify_direct(spec, [image], [rid])[0].label
+            for rid, image in enumerate(images)
+        ]
+        assert [p.label for p in served] == solo
 
     def test_request_id_keys_the_noise(self, grid_bench):
         spec = _spec("tile_correlated", {"tile_size": 2, "rho": 0.5})
         image = grid_bench.data.val.images[0]
-        engine = InferenceEngine(grid_bench, workers=1)
-        engine.warm(spec)
-        with engine:
-            a = engine.classify_direct(spec, [image], request_ids=[0])[0]
-            b = engine.classify_direct(spec, [image], request_ids=[1])[0]
-            again = engine.classify_direct(spec, [image], request_ids=[0])[0]
+        engine = InferenceEngine(grid_bench).warm(spec)
+        a = engine.classify_direct(spec, [image], request_ids=[0])[0]
+        b = engine.classify_direct(spec, [image], request_ids=[1])[0]
+        again = engine.classify_direct(spec, [image], request_ids=[0])[0]
         assert not np.array_equal(a.logits, b.logits)
         np.testing.assert_array_equal(a.logits, again.logits)
 

@@ -26,7 +26,7 @@ from repro.obs.summary import (
 from repro.obs.trace import capture_spans
 from repro.parallel.scheduler import SweepPoint
 from repro.parallel.sweep import sweep_map
-from repro.serve import InferenceEngine, ModelSpec
+from repro.serve import ClusterService, InferenceEngine, ModelSpec
 from repro.utils.tabulate import format_table
 
 SPEC = ModelSpec("quant", bw=8, bx=8)
@@ -79,16 +79,16 @@ def recorded_run(demo_config):
         ]
         live_results = sweep_map(bench, _eval_noise_seed, points)
 
-        with InferenceEngine(
-            bench, max_batch=8, max_wait_ms=1.0, workers=1
-        ) as engine:
-            engine.warm(SPEC)
+        engine = InferenceEngine(bench).warm(SPEC)
+        with ClusterService(
+            engine, max_batch=8, max_wait_s=0.001
+        ) as service:
             images = bench.data.val.images
             with capture_spans() as spans:
                 # several request-set sizes so the batch-size histogram
                 # has more than one bar
                 for count in (8, 5, 3, 8):
-                    engine.classify(SPEC, images[:count])
+                    service.classify(SPEC, images[:count])
             snapshot = engine.stats().snapshot()
             journal_event("serve.stats", stats=snapshot)
             current_journal().metrics_snapshot(

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import Workbench
 from repro.experiments.config import make_config
-from repro.serve import ModelSpec
+from repro.serve import ClusterService, ModelSpec
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,36 @@ QUANT_SPEC = ModelSpec("quant", bw=8, bx=8)
 @pytest.fixture(scope="session")
 def val_images(serve_bench):
     return serve_bench.data.val.images
+
+
+def serve_in_process(engine, spec, images, max_batch=4):
+    """Serve ``images`` (request ids ``0..n-1``) through the front door.
+
+    Returns the predictions in request order and the sizes of the
+    consecutive batches the front door formed for them.
+    """
+    with ClusterService(engine, max_batch=max_batch) as service:
+        served = service.classify(spec, images)
+    sizes = []
+    while sum(sizes) < len(served):
+        sizes.append(served[sum(sizes)].batch_size)
+    return served, sizes
+
+
+def direct_in_batches(engine, spec, images, sizes):
+    """``classify_direct`` logits over the given consecutive batches.
+
+    Logits are bit-identical only for a fixed batch composition (BLAS
+    picks kernels by matrix shape), so this is the exact reference for
+    a front-door run that formed batches of ``sizes``.
+    """
+    logits = []
+    start = 0
+    for size in sizes:
+        ids = range(start, start + size)
+        logits += [
+            p.logits
+            for p in engine.classify_direct(spec, images[start:ids.stop], ids)
+        ]
+        start = ids.stop
+    return np.stack(logits)

@@ -91,6 +91,23 @@ class TestExecution:
         for labels in children:
             assert "replica" in dict(labels)
 
+    def test_batch_histogram_survives_repeated_flushes(
+        self, cluster, val_images
+    ):
+        """A flush drains the replica's registry; its batch-time
+        histogram must keep counting every batch afterwards."""
+        cluster.execute(QUANT_SPEC, val_images[:1], [0])
+        cluster.flush_worker_stats()
+        cluster.execute(QUANT_SPEC, val_images[:1], [1])
+        cluster.execute(QUANT_SPEC, val_images[:1], [2])
+        cluster.flush_worker_stats()
+        registry = cluster.stats().registry
+        batches = registry.children("serve.worker_batches")
+        hists = registry.children("serve.worker_batch_ms")
+        assert batches
+        for labels, counter in batches.items():
+            assert hists[labels].count == counter.value
+
     def test_meminfo_proves_shared_binding(self, cluster):
         info = cluster.meminfo()
         assert set(info) == {0, 1}

@@ -1,66 +1,57 @@
-"""Tests for the batching inference engine.
+"""Tests for the in-process serving engine.
 
 The load-bearing property: a prediction is a pure function of
-``(spec, seed, request_id, image)`` — batching and concurrency must
-never change what a request gets back.
+``(spec, seed, request_id, image)`` — batch composition must never
+change what a request gets back.  Batched traffic reaches the engine
+through the front door (:class:`~repro.serve.ClusterService`).
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve import InferenceEngine, ModelSpec
+from repro.serve import ClusterService, InferenceEngine, ModelSpec
 
 from .conftest import AMS_SPEC, QUANT_SPEC
 
 
 @pytest.fixture(scope="module")
 def warm_engine(serve_bench):
-    """A started engine with the test specs already built."""
-    engine = InferenceEngine(
-        serve_bench, max_batch=8, max_wait_ms=5.0, workers=2
-    )
-    engine.warm(AMS_SPEC, QUANT_SPEC)
-    with engine:
-        yield engine
+    """An engine with the test specs already built."""
+    return InferenceEngine(serve_bench).warm(AMS_SPEC, QUANT_SPEC)
 
 
 class TestValidation:
     def test_knob_bounds(self, serve_bench):
-        for kwargs in (
-            dict(max_models=0),
-            dict(max_batch=0),
-            dict(max_wait_ms=-1.0),
-            dict(workers=0),
-        ):
+        for kwargs in (dict(max_models=0), dict(backend="tpu")):
             with pytest.raises(ConfigError):
                 InferenceEngine(serve_bench, **kwargs)
-
-    def test_classify_requires_start(self, serve_bench):
-        engine = InferenceEngine(serve_bench)
-        with pytest.raises(ConfigError, match="not started"):
-            engine.classify(QUANT_SPEC, np.zeros((3, 8, 8), np.float32))
 
 
 class TestDeterminism:
     def test_labels_invariant_across_worker_counts(
-        self, serve_bench, val_images
+        self, warm_engine, val_images
     ):
-        """Same requests at 1 vs 4 workers give identical labels.
+        """Same requests from 1 vs 4 client threads give identical labels.
 
         Uses the noisy AMS spec so the per-request noise streams are
-        exercised: under the old whole-batch draw, noise depended on
+        exercised: under a whole-batch draw, noise would depend on
         batch composition and this would flake.
         """
         images = val_images[:24]
         runs = []
         for workers in (1, 4):
-            engine = InferenceEngine(
-                serve_bench, max_batch=8, max_wait_ms=5.0, workers=workers
-            )
-            engine.warm(AMS_SPEC)
-            with engine:
-                runs.append(engine.classify(AMS_SPEC, images))
+            with ClusterService(warm_engine, max_batch=8) as service:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    futures = list(
+                        pool.map(
+                            lambda i: service.submit(AMS_SPEC, images[i], i),
+                            range(len(images)),
+                        )
+                    )
+                runs.append([f.result(timeout=60.0) for f in futures])
         labels_1 = [p.label for p in sorted(runs[0], key=lambda p: p.request_id)]
         labels_4 = [p.label for p in sorted(runs[1], key=lambda p: p.request_id)]
         assert labels_1 == labels_4
@@ -87,43 +78,41 @@ class TestDeterminism:
         b = warm_engine.classify_direct(QUANT_SPEC, [image], request_ids=[7])[0]
         np.testing.assert_array_equal(a.logits, b.logits)
 
-    def test_batched_matches_direct(self, serve_bench, val_images):
-        """A coalesced batch gives each row its solo-forward answer."""
-        images = val_images[:8]
-        engine = InferenceEngine(
-            serve_bench, max_batch=8, max_wait_ms=20.0, workers=1
-        )
-        engine.warm(AMS_SPEC)
+    def test_batched_matches_direct(self, warm_engine, val_images):
+        """Front-door batches give each row its solo-forward answer.
+
+        Uses the noisy AMS spec so the per-request noise streams are
+        exercised: under a whole-batch draw, noise would depend on
+        batch composition and the labels would drift.
+        """
+        images = val_images[:24]
         solo = [
-            engine.classify_direct(AMS_SPEC, [img], request_ids=[i])[0].label
+            warm_engine.classify_direct(AMS_SPEC, [img], request_ids=[i])[0]
             for i, img in enumerate(images)
         ]
-        with engine:
-            batched = engine.classify(AMS_SPEC, images)
-        batched_labels = [
-            p.label for p in sorted(batched, key=lambda p: p.request_id)
-        ]
-        assert batched_labels == solo
+        with ClusterService(warm_engine, max_batch=4) as service:
+            batched = service.classify(AMS_SPEC, images)
+        assert max(p.batch_size for p in batched) <= 4
+        assert [p.label for p in batched] == [p.label for p in solo]
 
 
 class TestBatching:
-    def test_coalesces_up_to_max_batch(self, serve_bench, val_images):
-        engine = InferenceEngine(
-            serve_bench, max_batch=4, max_wait_ms=50.0, workers=1
-        )
-        engine.warm(QUANT_SPEC)
-        with engine:
-            predictions = engine.classify(QUANT_SPEC, val_images[:8])
+    def test_coalesces_up_to_max_batch(self, warm_engine, val_images):
+        with ClusterService(
+            warm_engine, max_batch=4, max_wait_s=0.05
+        ) as service:
+            predictions = service.classify(QUANT_SPEC, val_images[:8])
         sizes = [p.batch_size for p in predictions]
         assert max(sizes) > 1, "no coalescing happened at a 50ms window"
         assert max(sizes) <= 4
 
     def test_mixed_specs_never_share_a_batch(self, warm_engine, val_images):
-        futures = []
-        for i, image in enumerate(val_images[:12]):
-            spec = AMS_SPEC if i % 2 else QUANT_SPEC
-            futures.append(warm_engine.submit(spec, image, request_id=i))
-        predictions = [f.result(timeout=60.0) for f in futures]
+        with ClusterService(warm_engine, max_batch=8) as service:
+            futures = [
+                service.submit(AMS_SPEC if i % 2 else QUANT_SPEC, image, i)
+                for i, image in enumerate(val_images[:12])
+            ]
+            predictions = [f.result(timeout=60.0) for f in futures]
         for i, prediction in enumerate(predictions):
             assert prediction.spec == (
                 (AMS_SPEC if i % 2 else QUANT_SPEC).resolved(
@@ -159,12 +148,9 @@ class TestModelCache:
 
 class TestStats:
     def test_counts_and_snapshot(self, serve_bench, val_images):
-        engine = InferenceEngine(
-            serve_bench, max_batch=4, max_wait_ms=5.0, workers=1
-        )
-        engine.warm(QUANT_SPEC)
-        with engine:
-            engine.classify(QUANT_SPEC, val_images[:10])
+        engine = InferenceEngine(serve_bench).warm(QUANT_SPEC)
+        with ClusterService(engine, max_batch=4) as service:
+            service.classify(QUANT_SPEC, val_images[:10])
         snap = engine.stats().snapshot()
         assert snap["requests"] == 10
         spec_stats = snap["specs"][QUANT_SPEC.token()]

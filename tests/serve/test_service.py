@@ -1,4 +1,17 @@
-"""Tests for the serving front end: backpressure, degradation, deadlines."""
+"""In-process serving: the front door's policies over the real engine.
+
+``test_frontdoor.py`` unit-tests shedding, degradation and deadlines
+against a fake backend; these tests drive the same policies through
+:class:`~repro.serve.ClusterService` over an
+:class:`~repro.serve.InferenceEngine`.  Holding a spec's registry lock
+stalls the engine's executor thread, which backs requests up into the
+front door deterministically.
+"""
+
+import threading
+import time
+from concurrent.futures import as_completed
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,189 +21,159 @@ from repro.errors import (
     ServiceOverloadError,
     ServiceTimeoutError,
 )
-from repro.serve import InferenceEngine, InferenceService
+from repro.serve import ClusterService, InferenceEngine
 
 from .conftest import AMS_SPEC, QUANT_SPEC
 
 
-@pytest.fixture()
-def stopped_engine(serve_bench):
-    """A warmed engine that is NOT draining its queue.
+@pytest.fixture(scope="module")
+def engine(serve_bench):
+    return InferenceEngine(serve_bench).warm(AMS_SPEC, QUANT_SPEC)
 
-    Saturation tests need the admission queue to actually fill; a
-    stopped engine guarantees it, and the test can start() it later to
-    drain.
-    """
-    engine = InferenceEngine(serve_bench, max_batch=8, workers=1)
-    engine.warm(AMS_SPEC, QUANT_SPEC)
-    yield engine
-    engine.stop()
+
+def _model_lock(engine, spec):
+    return engine.registry.entry(engine.resolve(spec)).lock
+
+
+@contextmanager
+def stalled(engine, spec):
+    """Batches for ``spec`` wait on the executor until the block exits."""
+    with _model_lock(engine, spec):
+        yield
+
+
+def _counter(engine, name, **labels):
+    return engine.stats().registry.counter(name, **labels).value
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.01)
 
 
 class TestValidation:
-    def test_knob_bounds(self, stopped_engine):
+    def test_knob_bounds(self, engine):
         for kwargs in (
             dict(queue_size=0),
-            dict(workers=0),
+            dict(max_batch=0),
             dict(timeout_s=0.0),
         ):
             with pytest.raises(ConfigError):
-                InferenceService(stopped_engine, **kwargs)
+                ClusterService(engine, **kwargs)
 
 
 class TestBackpressure:
     def test_saturation_raises_overload_without_deadlock(
-        self, stopped_engine, val_images
+        self, engine, val_images
     ):
-        """10 submits into queue_size=1 must overflow, never hang.
+        """10 submits into queue_size=1 must shed some, never hang.
 
-        The engine is stopped, so admitted requests sit in the router's
-        queue; by pigeonhole at least one submit sees it full.  After
-        engine.start() everything admitted still completes.
+        While the engine is stalled nothing admitted can finish, so the
+        first answer is a shed; after the stall everything admitted
+        still completes.
         """
         image = val_images[0]
-        with InferenceService(
-            stopped_engine, queue_size=1, workers=1, timeout_s=30.0
+        with ClusterService(
+            engine, queue_size=1, max_batch=1, max_wait_s=0.0
         ) as service:
-            futures = []
-            rejected = 0
-            for i in range(10):
-                try:
-                    futures.append(service.submit(QUANT_SPEC, image, i))
-                except ServiceOverloadError:
-                    rejected += 1
-            assert rejected > 0, "bounded queue never reported saturation"
-            assert futures, "every submit was rejected"
-            stopped_engine.start()
-            predictions = [f.result(timeout=30.0) for f in futures]
-            assert all(not p.degraded for p in predictions)
+            with stalled(engine, QUANT_SPEC):
+                futures = [
+                    service.submit(QUANT_SPEC, image, i) for i in range(10)
+                ]
+                first = next(as_completed(futures, timeout=30.0))
+                assert isinstance(first.exception(), ServiceOverloadError)
+            errors = [f.exception(timeout=30.0) for f in futures]
+        shed = sum(isinstance(e, ServiceOverloadError) for e in errors)
+        assert 0 < shed < 10
+        served = [f.result() for f, e in zip(futures, errors) if e is None]
+        assert len(served) == 10 - shed
+        assert all(not p.degraded for p in served)
 
-    def test_blocking_submit_applies_backpressure(
-        self, serve_bench, val_images
-    ):
-        """block=True waits for space instead of raising."""
-        engine = InferenceEngine(serve_bench, max_batch=8, workers=1)
-        engine.warm(QUANT_SPEC)
-        with engine, InferenceService(
-            engine, queue_size=2, workers=1, timeout_s=30.0
-        ) as service:
-            futures = [
-                service.submit(QUANT_SPEC, img, i, block=True)
-                for i, img in enumerate(val_images[:12])
-            ]
-            predictions = [f.result(timeout=30.0) for f in futures]
-        assert len(predictions) == 12
-
-    def test_submit_after_close_is_rejected(self, stopped_engine, val_images):
-        service = InferenceService(stopped_engine, queue_size=4)
+    def test_submit_after_close_is_rejected(self, engine, val_images):
+        service = ClusterService(engine)
         service.close()
         with pytest.raises(ServiceOverloadError, match="closed"):
             service.submit(QUANT_SPEC, val_images[0], 0)
 
 
 class TestDegradation:
-    def test_fallback_serves_degraded_in_caller_thread(
-        self, stopped_engine, val_images
-    ):
-        """With fallback_spec, saturation degrades instead of raising."""
-        image = val_images[0]
-        with InferenceService(
-            stopped_engine,
-            queue_size=1,
-            workers=1,
-            timeout_s=30.0,
-            fallback_spec=QUANT_SPEC,
+    def test_degraded_counted_in_stats(self, engine, val_images):
+        """With fallback_spec, saturation degrades instead of shedding,
+        and the stats count every degraded request."""
+        token = QUANT_SPEC.token()
+        before = _counter(engine, "serve.requests_degraded", spec=token)
+        fallbacks = _counter(engine, "serve.requests_fallback")
+        with ClusterService(
+            engine, queue_size=1, max_batch=1, fallback_spec=QUANT_SPEC
         ) as service:
-            futures = [
-                service.submit(AMS_SPEC, image, i) for i in range(10)
-            ]
-            # The engine is stopped, so any *completed* future right now
-            # must have come from the synchronous degradation path.
-            degraded = [f for f in futures if f.done()]
-            assert degraded, "saturation never triggered the fallback"
-            for future in degraded:
-                prediction = future.result(timeout=0)
-                assert prediction.degraded
-                assert prediction.spec == QUANT_SPEC.resolved(
-                    stopped_engine.workbench.config
+            with stalled(engine, AMS_SPEC):
+                futures = [
+                    service.submit(AMS_SPEC, val_images[0], i)
+                    for i in range(10)
+                ]
+                _wait_for(
+                    lambda: _counter(engine, "serve.requests_fallback")
+                    > fallbacks
                 )
-            stopped_engine.start()
-            for future in futures:
-                future.result(timeout=30.0)
-
-    def test_degraded_counted_in_stats(self, stopped_engine, val_images):
-        before = stopped_engine.stats().snapshot()["specs"].get(
-            QUANT_SPEC.token(), {}
-        ).get("degraded", 0)
-        with InferenceService(
-            stopped_engine,
-            queue_size=1,
-            workers=1,
-            fallback_spec=QUANT_SPEC,
-        ) as service:
-            for i in range(10):
-                service.submit(AMS_SPEC, val_images[0], i)
-            stopped_engine.start()
-        after = stopped_engine.stats().snapshot()["specs"][
-            QUANT_SPEC.token()
-        ]["degraded"]
-        assert after > before
+            predictions = [f.result(timeout=30.0) for f in futures]
+        degraded = [p for p in predictions if p.degraded]
+        assert degraded, "saturation never triggered the fallback"
+        for prediction in degraded:
+            assert prediction.spec == engine.resolve(QUANT_SPEC)
+        after = _counter(engine, "serve.requests_degraded", spec=token)
+        assert after - before == len(degraded)
 
 
 class TestDeadlines:
-    def test_queued_request_times_out(self, stopped_engine, val_images):
-        """A request stuck behind a stopped engine misses its deadline."""
-        with InferenceService(
-            stopped_engine, queue_size=8, workers=1, timeout_s=0.2
+    def test_queued_request_times_out(self, engine, val_images):
+        """Requests stuck behind a stalled engine miss their deadline,
+        whether they were still queued or already dispatched."""
+        missed = _counter(engine, "serve.deadline_missed")
+        with ClusterService(
+            engine, max_batch=1, max_wait_s=0.0, timeout_s=0.2
         ) as service:
-            future = service.submit(QUANT_SPEC, val_images[0], 0)
-            with pytest.raises(ServiceTimeoutError):
-                # Raised either by the router (deadline) or by classify's
-                # own wait; both surface as ServiceTimeoutError.
-                exc = future.exception(timeout=5.0)
-                if exc is not None:
-                    raise exc
+            with stalled(engine, QUANT_SPEC):
+                futures = [
+                    service.submit(QUANT_SPEC, val_images[0], i)
+                    for i in range(4)
+                ]
+                time.sleep(0.4)
+            for future in futures:
+                with pytest.raises(ServiceTimeoutError, match="deadline"):
+                    future.result(timeout=30.0)
+        assert _counter(engine, "serve.deadline_missed") - missed == 4
 
-    def test_classify_wraps_timeout(self, stopped_engine, val_images):
-        with InferenceService(
-            stopped_engine, queue_size=8, workers=1, timeout_s=0.2
-        ) as service:
+    def test_classify_wraps_timeout(self, engine, val_images):
+        lock = _model_lock(engine, QUANT_SPEC)
+        with ClusterService(engine, timeout_s=0.2) as service:
+            lock.acquire()
+            threading.Timer(0.4, lock.release).start()
             with pytest.raises(ServiceTimeoutError):
-                service.classify(QUANT_SPEC, val_images[0], 0)
-
-    def test_close_fails_pending_cleanly(self, stopped_engine, val_images):
-        service = InferenceService(
-            stopped_engine, queue_size=8, workers=1, timeout_s=30.0
-        )
-        futures = [
-            service.submit(QUANT_SPEC, val_images[0], i) for i in range(4)
-        ]
-        service.close()
-        for future in futures:
-            exc = future.exception(timeout=5.0)
-            assert isinstance(exc, ServiceTimeoutError)
+                service.classify(QUANT_SPEC, val_images[:1])
 
 
 class TestEndToEnd:
-    def test_service_results_match_engine(self, serve_bench, val_images):
-        """Routing through the service changes nothing about answers."""
+    def test_service_results_match_engine(self, engine, val_images):
+        """Routing through the front door changes nothing about the
+        answers, and the stats count each request exactly once."""
         images = val_images[:8]
-        engine = InferenceEngine(
-            serve_bench, max_batch=4, max_wait_ms=5.0, workers=2
-        )
-        engine.warm(AMS_SPEC)
         direct = [
             engine.classify_direct(AMS_SPEC, [img], request_ids=[i])[0]
             for i, img in enumerate(images)
         ]
-        with engine, InferenceService(
-            engine, queue_size=32, workers=2, timeout_s=30.0
+        token = engine.resolve(AMS_SPEC).token()
+        before = _counter(engine, "serve.requests_executed", spec=token)
+        with ClusterService(
+            engine, max_batch=4, max_wait_s=0.05
         ) as service:
-            futures = [
-                service.submit(AMS_SPEC, img, i, block=True)
-                for i, img in enumerate(images)
-            ]
-            served = [f.result(timeout=30.0) for f in futures]
-        assert [p.label for p in served] == [p.label for p in direct]
+            served = service.classify(AMS_SPEC, images)
+        after = _counter(engine, "serve.requests_executed", spec=token)
+        assert after - before == len(images)
+        assert max(p.batch_size for p in served) > 1
         for a, b in zip(served, direct):
+            assert a.request_id == b.request_id
+            assert a.label == b.label
+            # Solo and batched forwards differ in the last float bits.
             assert np.allclose(a.logits, b.logits, rtol=1e-5, atol=1e-6)
