@@ -53,8 +53,7 @@ import numpy as np
 
 from repro.compile.backends import Backend, register_backend
 from repro.compile.ir import ActSpec
-from repro.compile.plan import get_plan
-from repro.tensor.im2col import pad_nchw
+from repro.tensor.im2col import get_plan, pad_nchw
 
 __all__ = ["FastBackend", "PARITY_ATOL"]
 
@@ -94,6 +93,17 @@ def _executor() -> ThreadPoolExecutor:
                 thread_name_prefix="compile-fast",
             )
         return _EXECUTOR
+
+
+def _reset_executor_in_child() -> None:
+    # A forked child inherits the pool object but none of its worker
+    # threads (and possibly a lock held mid-submit): start afresh.
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR = None
+    _EXECUTOR_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_executor_in_child)
 
 
 # Optional numba JIT for the act-quant chain: one fused pass instead of

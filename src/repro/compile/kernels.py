@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.compile.plan import get_plan
+from repro.tensor.im2col import get_plan
 from repro.tensor.pool import BufferPool
 from repro.tensor.tensor import Tensor, no_grad
 

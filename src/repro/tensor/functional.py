@@ -17,7 +17,7 @@ Two primitives here are specific to the paper's method:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +48,13 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation over an NCHW input.
 
+    The forward pass unfolds the input with its cached
+    :class:`~repro.tensor.im2col.Im2colPlan` and runs one GEMM; the
+    result is the ``(N, oh, ow, C_out)`` GEMM output viewed as NCHW.
+    The input gradient is computed as shifted GEMMs
+    (:func:`_conv_grad_input`), the weight gradient as
+    ``g_mat.T @ cols``.
+
     Parameters
     ----------
     x:
@@ -72,8 +79,8 @@ def conv2d(
     out_w = conv_output_size(w, kw, stride[1], padding[1])
 
     cols = im2col(x.data, (kh, kw), stride, padding)  # (N*oh*ow, C*kh*kw)
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    out = cols @ w_mat.T  # (N*oh*ow, C_out)
+    w_data = weight.data
+    out = cols @ w_data.reshape(c_out, -1).T  # (N*oh*ow, C_out)
     if bias is not None:
         out = out + bias.data
     out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
@@ -91,13 +98,7 @@ def conv2d(
     def grad_x(g: np.ndarray) -> np.ndarray:
         token = _profiler.op_start()
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        grad_cols = default_pool().get(
-            (g_mat.shape[0], w_mat.shape[1]),
-            np.result_type(g_mat.dtype, w_mat.dtype),
-        )
-        np.matmul(g_mat, w_mat, out=grad_cols)
-        result = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
-        default_pool().release(grad_cols)
+        result = _conv_grad_input(g_mat, w_data, x_shape, stride, padding)
         _profiler.op_end(token, "conv2d.grad_x")
         return result
 
@@ -114,6 +115,103 @@ def conv2d(
     result = Tensor._result(out, parents)
     _profiler.op_end(token, "conv2d.forward")
     return result
+
+
+def _conv_grad_input(
+    g_mat: np.ndarray,
+    weight: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """Convolution input gradient as shifted GEMMs, with no col2im.
+
+    Kernel offset ``(i, j)`` sends ``g_mat @ weight[:, :, i, j]`` (one
+    ``(N*oh*ow, C_in)`` block) back to the input positions it read,
+    which in a zero-padded NHWC buffer is one strided slice.  The
+    blocks are added in col2im's ``(i, j)`` order, so every input
+    element sees the same additions of the same products as
+    ``col2im(g_mat @ w_mat)``, and the result is bitwise equal to it.
+    The blocks come from one GEMM per offset where the host BLAS rounds
+    those like the columns of the single ``g_mat @ w_mat`` GEMM
+    (:func:`_offset_gemms_match`), and from slices of that single GEMM
+    elsewhere.  Returns a C-contiguous NCHW array, the layout col2im
+    returned.
+
+    The scratch is plain numpy, not pooled: its shapes match no other
+    buffer, so parked copies would only add resident memory.
+    """
+    n, c_in, h, w = x_shape
+    c_out, _, kh, kw = weight.shape
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    dtype = np.result_type(g_mat.dtype, weight.dtype)
+
+    per_offset = _offset_gemms_match(g_mat, weight)
+    if per_offset:
+        block = np.empty((g_mat.shape[0], c_in), dtype)
+        block_nhwc = block.reshape(n, out_h, out_w, c_in)
+    else:
+        blocks = (g_mat @ weight.reshape(c_out, -1)).reshape(
+            n, out_h, out_w, c_in, kh, kw
+        )
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c_in), dtype)
+    for i in range(kh):
+        h_end = i + sh * out_h
+        for j in range(kw):
+            w_end = j + sw * out_w
+            if per_offset:
+                np.matmul(g_mat, np.ascontiguousarray(weight[:, :, i, j]), out=block)
+                padded[:, i:h_end:sh, j:w_end:sw] += block_nhwc
+            else:
+                padded[:, i:h_end:sh, j:w_end:sw] += blocks[..., i, j]
+    out = np.empty((n, c_in, h, w), dtype=dtype)
+    np.copyto(out, padded[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
+    return out
+
+
+#: :func:`_offset_gemms_match` verdicts by GEMM shape and dtypes.
+_OFFSET_GEMMS_MATCH: Dict[Tuple[int, int, int, int, str, str], bool] = {}
+
+
+def _offset_gemms_match(g_mat: np.ndarray, weight: np.ndarray) -> bool:
+    """Whether per-offset GEMMs reproduce ``g_mat @ w_mat`` bit for bit.
+
+    ``g_mat @ weight[:, :, i, j]`` holds the same dot products as the
+    ``(i, j)`` columns of ``g_mat @ weight.reshape(c_out, -1)``, but a
+    BLAS may round them differently: it picks kernels (and numpy picks
+    gemv for a single column) from the operand shapes.  On OpenBLAS
+    0.3.31, for instance, 17 or 24 input channels with 32 output
+    channels over 1024 rows differ in the last bits, as do 16 input
+    and 512 output channels over 64 rows.  Since the choice depends on
+    shapes and not on values, both products are compared once per
+    shape on fixed pseudo-random operands and the verdict is cached.
+    The per-offset blocks are contiguous, which makes their
+    accumulation about twice as fast as that of strided slices of the
+    single product.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    rows = g_mat.shape[0]
+    key = (rows, c_out, c_in, kh * kw, g_mat.dtype.str, weight.dtype.str)
+    verdict = _OFFSET_GEMMS_MATCH.get(key)
+    if verdict is None:
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((rows, c_out)).astype(g_mat.dtype)
+        w = rng.standard_normal(weight.shape).astype(weight.dtype)
+        full = (g @ w.reshape(c_out, -1)).reshape(rows, c_in, kh, kw)
+        block = np.empty((rows, c_in), full.dtype)
+        verdict = all(
+            np.array_equal(
+                np.matmul(g, np.ascontiguousarray(w[:, :, i, j]), out=block),
+                full[..., i, j],
+            )
+            for i in range(kh)
+            for j in range(kw)
+        )
+        _OFFSET_GEMMS_MATCH[key] = verdict
+    return verdict
 
 
 # ----------------------------------------------------------------------

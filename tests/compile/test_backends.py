@@ -12,6 +12,10 @@ instrumentation.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from repro.compile.backends import (
     get_backend,
     resolve_chain,
 )
+from repro.compile.backends import fast
 from repro.compile.backends.fast import PARITY_ATOL, FastConvStep
 from repro.compile.kernels import FusedConvStep
 from repro.errors import CompileError, ConfigError
@@ -218,6 +223,45 @@ class TestPerOpFallback:
             ).value
             > ref_before
         )
+
+
+class TestForkSafety:
+    def test_forked_child_runs_threaded_fast_convs(
+        self, compile_bench, monkeypatch
+    ):
+        """A child forked after the thread pool started must not hang.
+
+        The child inherits the pool object but none of its worker
+        threads, so panels submitted to it would wait forever.
+        """
+        monkeypatch.setattr(fast, "_MAX_WORKERS", 2)
+        spec = ModelSpec("fp32").resolved(compile_bench.config)
+        compiled = compile_model(compile_bench.build(spec), backend="fast")
+        size = compile_bench.config.image_size
+        images = np.random.default_rng(0).standard_normal(
+            (256, 3, size, size)
+        ).astype(np.float32)
+        expected = compiled.predict(images)
+        assert fast._EXECUTOR is not None  # the threaded path ran
+
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                code = 0 if np.array_equal(compiled.predict(images), expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 15.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung on the inherited thread pool")
+            time.sleep(0.02)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestBackendKeyedCache:

@@ -11,6 +11,7 @@ from repro.compile import (
     plan_cache_stats,
 )
 from repro.serve import ModelSpec
+from repro.tensor import im2col as im2col_module
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +35,21 @@ class TestPlanCache:
         base = get_plan(3, 8, 8, (3, 3), (1, 1), (1, 1))
         assert get_plan(3, 8, 8, (3, 3), (2, 2), (1, 1)) is not base
         assert plan_cache_stats()["size"] == 2
+
+    def test_least_recently_used_evicted_past_byte_bound(self, monkeypatch):
+        # Three geometries with equally large (6x6 patches of 27) tables.
+        a = (3, 8, 8, (3, 3), (1, 1), (0, 0))
+        b = (3, 6, 6, (3, 3), (1, 1), (1, 1))
+        c = (3, 4, 4, (3, 3), (1, 1), (2, 2))
+        table_bytes = get_plan(*a).index.nbytes
+        clear_plan_cache()
+        monkeypatch.setattr(im2col_module, "_CACHE_BYTES", 2 * table_bytes)
+        plan_a, plan_b = get_plan(*a), get_plan(*b)
+        assert get_plan(*a) is plan_a  # a is now the most recent
+        get_plan(*c)  # over the bound: evicts b
+        assert plan_cache_stats()["size"] == 2
+        assert get_plan(*a) is plan_a
+        assert get_plan(*b) is not plan_b
 
     def test_reused_across_batches(self, compile_bench, batch):
         """Later runs at other batch sizes build zero new plans.
